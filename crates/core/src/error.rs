@@ -24,6 +24,9 @@ pub enum CoverageError {
     },
     /// A threshold could not be resolved (e.g. a non-finite fraction).
     BadThreshold(String),
+    /// A pattern string could not be parsed (bad character or bracket
+    /// group).
+    BadPattern(String),
     /// Coverage enhancement cannot make progress: the remaining patterns are
     /// only matched by combinations the validation oracle rules out.
     Unhittable {
@@ -52,6 +55,7 @@ impl fmt::Display for CoverageError {
                 "{algorithm}: search space of {size} nodes exceeds the limit of {limit}"
             ),
             CoverageError::BadThreshold(msg) => write!(f, "bad threshold: {msg}"),
+            CoverageError::BadPattern(msg) => write!(f, "bad pattern: {msg}"),
             CoverageError::Unhittable { patterns } => write!(
                 f,
                 "no valid value combination hits the remaining pattern(s): {}",

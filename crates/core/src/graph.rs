@@ -11,6 +11,31 @@ use std::collections::{HashMap, HashSet};
 use crate::error::{CoverageError, Result};
 use crate::pattern::Pattern;
 
+/// Per-walk memo over a coverage predicate: each distinct pattern is probed
+/// at most once per walk, however many of its children ask about it.
+struct Probes<F> {
+    is_covered: F,
+    known: HashMap<Pattern, bool>,
+}
+
+impl<F: FnMut(&Pattern) -> bool> Probes<F> {
+    fn new(is_covered: F) -> Self {
+        Self {
+            is_covered,
+            known: HashMap::new(),
+        }
+    }
+
+    fn covered(&mut self, p: &Pattern) -> bool {
+        if let Some(&c) = self.known.get(p) {
+            return c;
+        }
+        let c = (self.is_covered)(p);
+        self.known.insert(p.clone(), c);
+        c
+    }
+}
+
 /// Neighborhood walk for incremental (delta) MUP maintenance: given a
 /// pattern `root` that has just *become covered* — an ex-MUP after new
 /// tuples arrived — returns the maximal uncovered patterns strictly below
@@ -23,14 +48,16 @@ use crate::pattern::Pattern;
 /// so the region visited is bounded by the covered slab between `root` and
 /// the new frontier — not the whole subgraph.
 ///
-/// `is_covered` is called at most once per visited pattern plus once per
-/// parent probe; callers typically back it with a coverage oracle and a memo
-/// cache. `root` itself is assumed covered and is never probed.
+/// `is_covered` is called at most once per distinct pattern (visited nodes
+/// and their parents; a walk-local memo absorbs repeats), so callers can
+/// back it with the oracle's early-exit probe directly. `root` itself is
+/// assumed covered and is never probed.
 pub fn maximal_uncovered_below(
     root: &Pattern,
     cardinalities: &[u8],
-    mut is_covered: impl FnMut(&Pattern) -> bool,
+    is_covered: impl FnMut(&Pattern) -> bool,
 ) -> Vec<Pattern> {
+    let mut probes = Probes::new(is_covered);
     let mut out = Vec::new();
     let mut seen: HashSet<Pattern> = HashSet::new();
     let mut stack: Vec<Pattern> = Vec::new();
@@ -40,13 +67,13 @@ pub fn maximal_uncovered_below(
         }
     }
     while let Some(p) = stack.pop() {
-        if is_covered(&p) {
+        if probes.covered(&p) {
             for child in p.children(cardinalities) {
                 if seen.insert(child.clone()) {
                     stack.push(child);
                 }
             }
-        } else if p.parents().all(|parent| is_covered(&parent)) {
+        } else if p.parents().all(|parent| probes.covered(&parent)) {
             // Uncovered with every parent covered: a MUP by Definition 5.
             // (Uncovered nodes with an uncovered parent are dropped — they
             // lie below some other maximal uncovered pattern.)
@@ -68,44 +95,45 @@ pub fn maximal_uncovered_below(
 /// attribute subset). Parents of a sublattice node are sublattice nodes
 /// (a parent drops a deterministic element), so Definition 5's
 /// all-parents-covered condition is decidable without leaving the
-/// sublattice. The walk descends through covered nodes only, so the region
-/// visited is bounded by the covered slab above the post-delete frontier —
-/// not all `2^d` nodes.
+/// sublattice.
 ///
-/// `is_covered` is called at most once per visited pattern plus once per
-/// parent probe; callers typically back it with a coverage oracle and a
-/// memo cache.
+/// The walk is bottom-up, in the spirit of PATTERN-COMBINER: it starts at
+/// the fully determined pattern `t̂` — the sublattice's minimum-coverage
+/// node — and climbs through uncovered parents only, emitting every
+/// uncovered node whose parents are all covered. The uncovered part of the
+/// sublattice is down-closed (every descendant of an uncovered node is
+/// uncovered), so each uncovered node is reachable from `t̂` through
+/// uncovered nodes, and when `t̂` itself is covered nothing is uncovered and
+/// the walk returns after one probe.
+///
+/// `is_covered` is called at most once per distinct pattern (walk-local
+/// memo), and only on uncovered sublattice nodes and their parents: the
+/// probe count is bounded by the uncovered region plus its covered rim —
+/// small after a delete on dense data, where a top-down walk would have to
+/// cross the whole covered slab above the frontier instead.
 pub fn maximal_uncovered_within(
     tuple: &[u8],
-    mut is_covered: impl FnMut(&Pattern) -> bool,
+    is_covered: impl FnMut(&Pattern) -> bool,
 ) -> Vec<Pattern> {
-    let root = Pattern::all_x(tuple.len());
-    if !is_covered(&root) {
-        // The whole dataset dropped below τ: the root dominates everything.
-        return vec![root];
+    let mut probes = Probes::new(is_covered);
+    let bottom = Pattern::from_codes(tuple);
+    if probes.covered(&bottom) {
+        return Vec::new();
     }
-    let sublattice_children = |p: &Pattern| -> Vec<Pattern> {
-        (0..tuple.len())
-            .filter(|&i| !p.is_deterministic(i))
-            .map(|i| p.with(i, tuple[i]))
-            .collect()
-    };
     let mut out = Vec::new();
     let mut seen: HashSet<Pattern> = HashSet::new();
-    let mut stack: Vec<Pattern> = Vec::new();
-    for child in sublattice_children(&root) {
-        if seen.insert(child.clone()) {
-            stack.push(child);
-        }
-    }
+    let mut stack = vec![bottom];
     while let Some(p) = stack.pop() {
-        if is_covered(&p) {
-            for child in sublattice_children(&p) {
-                if seen.insert(child.clone()) {
-                    stack.push(child);
+        let mut maximal = true;
+        for parent in p.parents() {
+            if !probes.covered(&parent) {
+                maximal = false;
+                if seen.insert(parent.clone()) {
+                    stack.push(parent);
                 }
             }
-        } else if p.parents().all(|parent| is_covered(&parent)) {
+        }
+        if maximal {
             out.push(p);
         }
     }
@@ -256,6 +284,7 @@ impl PatternGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::X;
 
     #[test]
     fn figure2_counts() {
@@ -420,6 +449,100 @@ mod tests {
     #[test]
     fn within_walk_over_fully_covered_sublattice_is_empty() {
         assert!(maximal_uncovered_within(&[0, 0, 0], |_| true).is_empty());
+    }
+
+    /// One delete scenario: cardinalities, the rows left after the delete,
+    /// τ, and the deleted tuple. Raw draws are folded into range per
+    /// attribute, so one strategy serves every arity.
+    type Scenario = (Vec<u8>, Vec<Vec<u8>>, u64, Vec<u8>);
+
+    fn scenario(
+        rows: std::ops::RangeInclusive<usize>,
+        tau: std::ops::RangeInclusive<u64>,
+    ) -> impl proptest::strategy::Strategy<Value = Scenario> {
+        use proptest::collection::vec;
+        use proptest::strategy::Strategy;
+        (
+            vec(2u8..=3, 2..=6),
+            vec(vec(0u8..=255, 6usize), rows),
+            tau,
+            vec(0u8..=255, 6usize),
+        )
+            .prop_map(|(cards, rows, tau, deleted)| {
+                let fit = |raw: &[u8]| -> Vec<u8> {
+                    cards.iter().zip(raw).map(|(&c, &v)| v % c).collect()
+                };
+                let rows = rows.iter().map(|r| fit(r)).collect();
+                let deleted = fit(&deleted);
+                (cards, rows, tau, deleted)
+            })
+    }
+
+    /// Runs the walk on a scenario, compares it with brute-force enumeration
+    /// of all `2^d` sublattice nodes, checks the walk's probe contract (each
+    /// distinct pattern at most once, sublattice only), and returns the
+    /// walk's (sorted) answer.
+    fn check_within_walk(
+        (_, rows, tau, deleted): Scenario,
+    ) -> std::result::Result<Vec<Pattern>, proptest::test_runner::TestCaseError> {
+        use proptest::prop_assert;
+        use proptest::prop_assert_eq;
+        let covered = |p: &Pattern| rows.iter().filter(|r| p.matches(r)).count() as u64 >= tau;
+        let mut probed: Vec<Pattern> = Vec::new();
+        let mut got = maximal_uncovered_within(&deleted, |p| {
+            probed.push(p.clone());
+            covered(p)
+        });
+        got.sort();
+        let d = deleted.len();
+        let mut expected: Vec<Pattern> = (0..1u32 << d)
+            .map(|mask| {
+                Pattern::from_codes(
+                    (0..d)
+                        .map(|i| if mask >> i & 1 == 1 { deleted[i] } else { X })
+                        .collect::<Vec<u8>>(),
+                )
+            })
+            .filter(|p| !covered(p) && p.parents().all(|q| covered(&q)))
+            .collect();
+        expected.sort();
+        prop_assert_eq!(&got, &expected, "rows {rows:?} τ {tau} deleted {deleted:?}");
+        let probes = probed.len();
+        prop_assert!(probes <= 1 << d, "{probes} probes over 2^{d} nodes");
+        prop_assert!(probed.iter().all(|p| p.matches(&deleted)));
+        probed.sort();
+        probed.dedup();
+        prop_assert_eq!(probed.len(), probes, "a pattern was probed twice");
+        if covered(&Pattern::from_codes(deleted.clone())) {
+            prop_assert_eq!(probes, 1, "covered t̂ must end the walk at once");
+        }
+        Ok(got)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// Dense data at low τ: most of the sublattice is covered, the
+        /// uncovered region (if any) hugs `t̂`.
+        #[test]
+        fn within_walk_matches_brute_force_on_dense_data(case in scenario(40..=120, 1..=2)) {
+            check_within_walk(case)?;
+        }
+
+        /// τ above the row count: the root is uncovered and is the only MUP.
+        #[test]
+        fn within_walk_matches_brute_force_with_root_uncovered(case in scenario(0..=10, 11..=20)) {
+            let d = case.3.len();
+            let got = check_within_walk(case)?;
+            proptest::prop_assert_eq!(got, vec![Pattern::all_x(d)]);
+        }
+
+        /// Few rows at moderate τ: most of the sublattice is uncovered and
+        /// the walk climbs to the top levels.
+        #[test]
+        fn within_walk_matches_brute_force_when_mostly_uncovered(case in scenario(1..=8, 1..=3)) {
+            check_within_walk(case)?;
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl Pattern {
     /// and for bracket groups that are empty, unterminated, or ≥ 255 (the
     /// [`X`] sentinel).
     pub fn parse(s: &str) -> Result<Self> {
-        let bad = |msg: String| CoverageError::BadThreshold(msg);
+        let bad = CoverageError::BadPattern;
         let mut codes = Vec::new();
         let mut chars = s.chars();
         while let Some(ch) = chars.next() {
@@ -281,7 +281,17 @@ mod tests {
         for s in ["XXX", "1X0", "X1X0", "10X1", "012", "[12]X0", "[10][254]X"] {
             assert_eq!(Pattern::parse(s).unwrap().to_string(), s);
         }
-        assert!(Pattern::parse("1?0").is_err());
+        for bad in ["1?0", "[", "[]", "[1x]", "[255]"] {
+            let err = Pattern::parse(bad).unwrap_err();
+            assert!(
+                matches!(err, CoverageError::BadPattern(_)),
+                "`{bad}`: {err:?}"
+            );
+            assert!(
+                err.to_string().starts_with("bad pattern: "),
+                "`{bad}`: {err}"
+            );
+        }
         assert_eq!(Pattern::from_codes(vec![12, X, 0]).to_string(), "[12]X0");
         // Bracket groups parse to single elements ([7] ≡ 7).
         assert_eq!(

@@ -1,12 +1,15 @@
-//! Bounded LRU memo cache for pattern coverage.
+//! Bounded LRU read memo for client `coverage` requests.
 //!
-//! The engine asks the oracle for the same patterns over and over: a MUP is
-//! re-probed on every batch that matches it, and delta walks revisit the
-//! covered slab around the frontier. Raw coverage *counts* are cached (never
+//! Clients re-ask the same patterns (dashboards polling a fixed watch list),
+//! so [`crate::CoverageEngine::coverage`] answers repeats from here. Nothing
+//! else fills it: the delta walks probe the oracle directly with early-exit
+//! `covered` checks behind a walk-local memo, because their probes rarely
+//! repeat across writes and storing them only lengthened the invalidation
+//! scan every write pays. Raw coverage *counts* are cached (never
 //! covered/uncovered booleans), so a shifting rate threshold never
-//! invalidates an entry — only an inserted tuple does, and only for the
-//! patterns that match it, because `cov(P)` counts exactly the rows matching
-//! `P`.
+//! invalidates an entry — only an inserted or deleted tuple does, and only
+//! for the patterns that match it, because `cov(P)` counts exactly the rows
+//! matching `P`.
 
 use std::collections::HashMap;
 
@@ -27,7 +30,7 @@ struct Slot {
 ///
 /// Implemented as a slab of slots threaded on an intrusive doubly-linked
 /// list (no external dependencies): `get`/`insert` are O(1);
-/// [`Self::invalidate_matching`] is O(entries), run once per inserted tuple.
+/// [`Self::invalidate_matching_any`] is O(entries), run once per write batch.
 #[derive(Debug, Clone)]
 pub struct CoverageCache {
     map: HashMap<Box<[u8]>, usize>,

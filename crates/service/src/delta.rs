@@ -12,18 +12,26 @@
 //!
 //! Deletes are the mirror image: coverage only *decreases*, and only for
 //! patterns matching a deleted tuple, so the frontier moves strictly upward.
-//! Every brand-new MUP lies in a deleted tuple's match sublattice
-//! ([`coverage_core::graph::maximal_uncovered_within`]), and existing MUPs
-//! never become covered — they can only stop being *maximal* when a newly
-//! uncovered ancestor now dominates them.
+//! Every brand-new MUP lies in a deleted tuple's match sublattice, and
+//! existing MUPs never become covered — they can only stop being *maximal*
+//! when a newly uncovered ancestor now dominates them. The sublattice is
+//! walked bottom-up ([`coverage_core::graph::maximal_uncovered_within`]):
+//! from the fully determined pattern `t̂` through uncovered parents only, so
+//! a delete that leaves `t̂` covered costs one early-exit probe, and any
+//! other delete probes just the uncovered region and its covered rim —
+//! never the covered slab above the frontier.
+//!
+//! The walks ask the oracle directly — early-exit `covered` probes behind a
+//! walk-local memo — and never touch the engine's memo cache, which serves
+//! client `coverage` requests only. Both deltas keep `mups` sorted: removal
+//! is an order-preserving `retain`, and the set is re-sorted only when a
+//! delta discovered patterns.
 
 use std::collections::HashSet;
 
 use coverage_core::graph::{maximal_uncovered_below, maximal_uncovered_within};
 use coverage_core::pattern::Pattern;
 use coverage_index::CoverageProvider;
-
-use crate::cache::CoverageCache;
 
 /// What an insert or delete delta did to the MUP set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,97 +44,42 @@ pub struct DeltaOutcome {
     pub discovered: usize,
 }
 
-/// Coverage of `codes` through the memo cache.
-pub(crate) fn coverage_cached(
-    oracle: &dyn CoverageProvider,
-    cache: &mut CoverageCache,
-    codes: &[u8],
-) -> u64 {
-    if let Some(v) = cache.get(codes) {
-        return v;
+/// Adds freshly discovered MUPs to the sorted frontier, keeping it sorted.
+fn merge_sorted(mups: &mut Vec<Pattern>, discovered: impl IntoIterator<Item = Pattern>) {
+    let before = mups.len();
+    mups.extend(discovered);
+    if mups.len() > before {
+        mups.sort();
     }
-    let v = oracle.coverage(codes);
-    cache.insert(codes, v);
-    v
 }
 
-/// Coverage of a batch of patterns through the memo cache: misses are
-/// gathered and answered with **one** [`CoverageProvider::coverage_batch`]
-/// call — the wide probe a sharded backend fans out across its shards in
-/// parallel — then fed back into the cache.
-pub(crate) fn coverage_cached_batch(
-    oracle: &dyn CoverageProvider,
-    cache: &mut CoverageCache,
-    patterns: &[Pattern],
-) -> Vec<u64> {
-    let mut out = vec![0u64; patterns.len()];
-    let mut miss_at: Vec<usize> = Vec::new();
-    let mut miss_codes: Vec<&[u8]> = Vec::new();
-    for (i, p) in patterns.iter().enumerate() {
-        match cache.get(p.codes()) {
-            Some(v) => out[i] = v,
-            None => {
-                miss_at.push(i);
-                miss_codes.push(p.codes());
-            }
-        }
-    }
-    if !miss_codes.is_empty() {
-        let counts = oracle.coverage_batch(&miss_codes);
-        for (&i, &count) in miss_at.iter().zip(&counts) {
-            out[i] = count;
-            cache.insert(patterns[i].codes(), count);
-        }
-    }
-    out
-}
-
-/// Covered test for walk decisions: a cache hit answers from the memo,
-/// otherwise the oracle's early-exit `cov ≥ τ` probe runs — in covered
-/// regions (where most traversal decisions are made) it terminates after a
-/// handful of words instead of computing the exact count, which is what
-/// keeps the per-delete walk an order of magnitude under a full recompute.
-/// Nothing is cached on the fast path (there is no exact count to store).
-fn covered_fast(
-    oracle: &dyn CoverageProvider,
-    cache: &mut CoverageCache,
-    tau: u64,
-    codes: &[u8],
-) -> bool {
-    if let Some(v) = cache.get(codes) {
-        return v >= tau;
-    }
-    oracle.covered(codes, tau)
-}
-
-/// Updates `mups` in place for a batch of freshly ingested rows (the oracle
-/// must already include them). Only valid when the resolved threshold is
-/// unchanged; a shifted rate threshold requires a full recompute because
-/// previously covered patterns anywhere may have dropped below the new τ.
+/// Updates the sorted `mups` in place for a batch of freshly ingested rows
+/// (the oracle must already include them), keeping it sorted. Only valid
+/// when the resolved threshold is unchanged; a shifted rate threshold
+/// requires a full recompute because previously covered patterns anywhere
+/// may have dropped below the new τ.
 pub(crate) fn apply_insert_delta<R: AsRef<[u8]>>(
     oracle: &dyn CoverageProvider,
-    cache: &mut CoverageCache,
     tau: u64,
     mups: &mut Vec<Pattern>,
     rows: &[R],
 ) -> DeltaOutcome {
-    let cards = oracle.cardinalities().to_vec();
-    let affected: Vec<Pattern> = mups
+    let affected: Vec<&[u8]> = mups
         .iter()
         .filter(|m| rows.iter().any(|r| m.matches(r.as_ref())))
-        .cloned()
+        .map(Pattern::codes)
         .collect();
     if affected.is_empty() {
         return DeltaOutcome::default();
     }
     // One wide probe for every touched MUP — a sharded backend answers the
     // whole batch with parallel shard-local scans.
-    let counts = coverage_cached_batch(oracle, cache, &affected);
+    let counts = oracle.coverage_batch(&affected);
     let retired: HashSet<Pattern> = affected
         .into_iter()
         .zip(counts)
         .filter(|&(_, count)| count >= tau)
-        .map(|(m, _)| m)
+        .map(|(m, _)| Pattern::from_codes(m))
         .collect();
     if retired.is_empty() {
         return DeltaOutcome::default();
@@ -134,27 +87,28 @@ pub(crate) fn apply_insert_delta<R: AsRef<[u8]>>(
     mups.retain(|m| !retired.contains(m));
     // Walks from different retired MUPs can meet at a shared descendant;
     // the set keeps each new MUP once.
+    let cards = oracle.cardinalities();
     let mut discovered: HashSet<Pattern> = HashSet::new();
     for root in &retired {
-        discovered.extend(maximal_uncovered_below(root, &cards, |p| {
-            coverage_cached(oracle, cache, p.codes()) >= tau
+        discovered.extend(maximal_uncovered_below(root, cards, |p| {
+            oracle.covered(p.codes(), tau)
         }));
     }
     let outcome = DeltaOutcome {
         retired: retired.len(),
         discovered: discovered.len(),
     };
-    mups.extend(discovered);
+    merge_sorted(mups, discovered);
     outcome
 }
 
-/// Updates `mups` in place for a batch of freshly *deleted* rows (the oracle
-/// must already have forgotten them). Only valid when the resolved threshold
-/// is unchanged; a shrinking dataset can step a rate threshold *down*, which
-/// may newly cover patterns anywhere and requires a full recompute.
+/// Updates the sorted `mups` in place for a batch of freshly *deleted* rows
+/// (the oracle must already have forgotten them), keeping it sorted. Only
+/// valid when the resolved threshold is unchanged; a shrinking dataset can
+/// step a rate threshold *down*, which may newly cover patterns anywhere and
+/// requires a full recompute.
 pub(crate) fn apply_delete_delta<R: AsRef<[u8]>>(
     oracle: &dyn CoverageProvider,
-    cache: &mut CoverageCache,
     tau: u64,
     mups: &mut Vec<Pattern>,
     rows: &[R],
@@ -166,22 +120,17 @@ pub(crate) fn apply_delete_delta<R: AsRef<[u8]>>(
     for row in rows {
         let row = row.as_ref();
         if distinct.insert(row) {
-            // The fully determined pattern t̂ is the *minimum-coverage* node
-            // of the tuple's match sublattice (every other node dominates it
-            // and matches a superset of rows). While it stays covered the
-            // whole sublattice does — one early-exit probe retires the
-            // common nothing-uncovered delete without walking 2^d nodes.
-            if covered_fast(oracle, cache, tau, row) {
-                continue;
-            }
             frontier.extend(maximal_uncovered_within(row, |p| {
-                covered_fast(oracle, cache, tau, p.codes())
+                oracle.covered(p.codes(), tau)
             }));
         }
     }
     // The walks return every maximal uncovered pattern matching a deleted
     // tuple — including MUPs that were already on the frontier.
-    let newcomers: Vec<Pattern> = frontier.into_iter().filter(|p| !mups.contains(p)).collect();
+    let newcomers: Vec<Pattern> = frontier
+        .into_iter()
+        .filter(|p| mups.binary_search(p).is_err())
+        .collect();
     if newcomers.is_empty() {
         return DeltaOutcome::default();
     }
@@ -193,7 +142,7 @@ pub(crate) fn apply_delete_delta<R: AsRef<[u8]>>(
         retired: before - mups.len(),
         discovered: newcomers.len(),
     };
-    mups.extend(newcomers);
+    merge_sorted(mups, newcomers);
     outcome
 }
 
@@ -203,6 +152,15 @@ mod tests {
     use coverage_core::mup::{DeepDiver, MupAlgorithm};
     use coverage_data::{Dataset, Schema};
     use coverage_index::CoverageOracle;
+
+    /// The batch MUP set, sorted as the deltas require.
+    fn sorted_mups(oracle: &CoverageOracle, tau: u64) -> Vec<Pattern> {
+        let mut mups = DeepDiver::default()
+            .find_mups_with_oracle(oracle, tau)
+            .unwrap();
+        mups.sort();
+        mups
+    }
 
     /// Example 1 of the paper plus a streamed insert: the delta must agree
     /// with re-running DEEPDIVER on the extended dataset.
@@ -217,15 +175,12 @@ mod tests {
         ];
         let ds = Dataset::from_rows(Schema::binary(3).unwrap(), &rows).unwrap();
         let mut oracle = CoverageOracle::from_dataset(&ds);
-        let mut mups = DeepDiver::default()
-            .find_mups_with_oracle(&oracle, 1)
-            .unwrap();
+        let mut mups = sorted_mups(&oracle, 1);
         assert_eq!(mups.len(), 1); // 1XX
 
         let insert = vec![vec![1u8, 0, 1]];
         oracle.add_row(&insert[0]);
-        let mut cache = CoverageCache::new(64);
-        let outcome = apply_insert_delta(&oracle, &mut cache, 1, &mut mups, &insert);
+        let outcome = apply_insert_delta(&oracle, 1, &mut mups, &insert);
         assert_eq!(
             outcome,
             DeltaOutcome {
@@ -233,13 +188,8 @@ mod tests {
                 discovered: 2
             }
         );
-        mups.sort();
-        let expected = DeepDiver::default()
-            .find_mups_with_oracle(&oracle, 1)
-            .unwrap();
-        let mut expected = expected;
-        expected.sort();
-        assert_eq!(mups, expected);
+        // The delta keeps the frontier sorted on its own.
+        assert_eq!(mups, sorted_mups(&oracle, 1));
     }
 
     /// An insert matching no MUP leaves the frontier untouched without any
@@ -249,15 +199,12 @@ mod tests {
         let rows = [vec![0u8, 1, 0], vec![0, 0, 1]];
         let ds = Dataset::from_rows(Schema::binary(3).unwrap(), &rows).unwrap();
         let mut oracle = CoverageOracle::from_dataset(&ds);
-        let mut mups = DeepDiver::default()
-            .find_mups_with_oracle(&oracle, 1)
-            .unwrap();
+        let mut mups = sorted_mups(&oracle, 1);
         let before = mups.clone();
         // (0,1,0) is already present: it matches the covered region only.
         let insert = vec![vec![0u8, 1, 0]];
         oracle.add_row(&insert[0]);
-        let mut cache = CoverageCache::new(64);
-        let outcome = apply_insert_delta(&oracle, &mut cache, 1, &mut mups, &insert);
+        let outcome = apply_insert_delta(&oracle, 1, &mut mups, &insert);
         assert_eq!(outcome, DeltaOutcome::default());
         assert_eq!(mups, before);
     }
@@ -277,15 +224,12 @@ mod tests {
         ];
         let ds = Dataset::from_rows(Schema::binary(3).unwrap(), &rows).unwrap();
         let mut oracle = CoverageOracle::from_dataset(&ds);
-        let mut mups = DeepDiver::default()
-            .find_mups_with_oracle(&oracle, 1)
-            .unwrap();
+        let mut mups = sorted_mups(&oracle, 1);
         assert_eq!(mups.len(), 2); // 11X, 1X0
 
         let delete = vec![vec![1u8, 0, 1]];
         assert!(oracle.remove_row(&delete[0]));
-        let mut cache = CoverageCache::new(64);
-        let outcome = apply_delete_delta(&oracle, &mut cache, 1, &mut mups, &delete);
+        let outcome = apply_delete_delta(&oracle, 1, &mut mups, &delete);
         assert_eq!(
             outcome,
             DeltaOutcome {
@@ -293,12 +237,7 @@ mod tests {
                 discovered: 1
             }
         );
-        mups.sort();
-        let mut expected = DeepDiver::default()
-            .find_mups_with_oracle(&oracle, 1)
-            .unwrap();
-        expected.sort();
-        assert_eq!(mups, expected);
+        assert_eq!(mups, sorted_mups(&oracle, 1));
         assert_eq!(mups[0].to_string(), "1XX");
     }
 
@@ -309,20 +248,12 @@ mod tests {
         let rows = [vec![0u8, 0], vec![0, 0], vec![0, 1], vec![1, 0]];
         let ds = Dataset::from_rows(Schema::binary(2).unwrap(), &rows).unwrap();
         let mut oracle = CoverageOracle::from_dataset(&ds);
-        let mut mups = DeepDiver::default()
-            .find_mups_with_oracle(&oracle, 1)
-            .unwrap();
-        let before = {
-            let mut m = mups.clone();
-            m.sort();
-            m
-        };
+        let mut mups = sorted_mups(&oracle, 1);
+        let before = mups.clone();
         let delete = vec![vec![0u8, 0]]; // still one copy left
         assert!(oracle.remove_row(&delete[0]));
-        let mut cache = CoverageCache::new(64);
-        let outcome = apply_delete_delta(&oracle, &mut cache, 1, &mut mups, &delete);
+        let outcome = apply_delete_delta(&oracle, 1, &mut mups, &delete);
         assert_eq!(outcome, DeltaOutcome::default());
-        mups.sort();
         assert_eq!(mups, before);
     }
 
@@ -333,17 +264,13 @@ mod tests {
         let rows = [vec![0u8, 1], vec![1, 0]];
         let ds = Dataset::from_rows(Schema::binary(2).unwrap(), &rows).unwrap();
         let mut oracle = CoverageOracle::from_dataset(&ds);
-        let mut mups = DeepDiver::default()
-            .find_mups_with_oracle(&oracle, 1)
-            .unwrap();
+        let mut mups = sorted_mups(&oracle, 1);
         assert!(!mups.is_empty());
         let deletes: Vec<Vec<u8>> = rows.to_vec();
         for row in &deletes {
             assert!(oracle.remove_row(row));
         }
-        let mut cache = CoverageCache::new(64);
-        apply_delete_delta(&oracle, &mut cache, 1, &mut mups, &deletes);
-        mups.sort();
+        apply_delete_delta(&oracle, 1, &mut mups, &deletes);
         assert_eq!(mups, vec![Pattern::all_x(2)]);
     }
 
@@ -354,14 +281,11 @@ mod tests {
         let ds = Dataset::from_rows(Schema::binary(2).unwrap(), &rows).unwrap();
         let mut oracle = CoverageOracle::from_dataset(&ds);
         let tau = 2u64;
-        let mut mups = DeepDiver::default()
-            .find_mups_with_oracle(&oracle, tau)
-            .unwrap();
+        let mut mups = sorted_mups(&oracle, tau);
         assert!(mups.iter().any(|m| m.to_string() == "1X"));
         let insert = vec![vec![1u8, 0]]; // cov(1X) 0 → 1, still < 2
         oracle.add_row(&insert[0]);
-        let mut cache = CoverageCache::new(64);
-        let outcome = apply_insert_delta(&oracle, &mut cache, tau, &mut mups, &insert);
+        let outcome = apply_insert_delta(&oracle, tau, &mut mups, &insert);
         assert_eq!(outcome, DeltaOutcome::default());
         assert!(mups.iter().any(|m| m.to_string() == "1X"));
     }

@@ -9,9 +9,11 @@
 //!
 //! * Fixed (count) thresholds take the pure delta path: an insert re-probes
 //!   only the MUPs matching it (retired ones are replaced by a bounded
-//!   neighborhood walk below them), a delete re-probes only the covered
-//!   sublattice matching the removed tuple (newly uncovered ancestors retire
-//!   the MUPs they dominate) — never a full re-discovery.
+//!   neighborhood walk below them), a delete climbs bottom-up from the
+//!   removed tuple through the uncovered part of its match sublattice
+//!   (newly uncovered ancestors retire the MUPs they dominate) — never a
+//!   full re-discovery. The walks probe the oracle directly; the memo cache
+//!   serves client [`CoverageEngine::coverage`] requests only.
 //! * Rate thresholds re-resolve `τ = max(1, round(f·n))` after every batch;
 //!   while the resolved τ is unchanged the delta path applies, and on the
 //!   rare batch where τ steps (up on inserts, down on deletes) the engine
@@ -26,10 +28,10 @@ use coverage_data::Dataset;
 use coverage_index::{CoverageBackend, CoverageOracle, X};
 
 use crate::cache::CoverageCache;
-use crate::delta::{apply_delete_delta, apply_insert_delta, coverage_cached};
+use crate::delta::{apply_delete_delta, apply_insert_delta};
 use crate::{Result, ServiceError};
 
-/// Default bound on the pattern-coverage memo cache.
+/// Default bound on the memo cache for client `coverage` requests.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Counters describing the engine's maintenance work so far.
@@ -198,21 +200,12 @@ impl<B: CoverageBackend> CoverageEngine<B> {
         if new_tau != self.tau {
             // The resolved rate threshold stepped up: patterns anywhere may
             // have dropped below it, so the delta walk is not sound here.
-            self.tau = new_tau;
-            self.mups = DeepDiver::default().find_mups_with_oracle(&self.oracle, new_tau)?;
-            self.stats.full_recomputes += 1;
+            self.recompute(new_tau)?;
         } else {
-            let outcome = apply_insert_delta(
-                &self.oracle,
-                &mut self.cache,
-                self.tau,
-                &mut self.mups,
-                rows,
-            );
+            let outcome = apply_insert_delta(&self.oracle, self.tau, &mut self.mups, rows);
             self.stats.mups_retired += outcome.retired as u64;
             self.stats.mups_discovered += outcome.discovered as u64;
         }
-        self.mups.sort();
         Ok(())
     }
 
@@ -271,21 +264,22 @@ impl<B: CoverageBackend> CoverageEngine<B> {
         if new_tau != self.tau {
             // The resolved rate threshold stepped down: patterns anywhere
             // may have risen above it, so the delta walk is not sound here.
-            self.tau = new_tau;
-            self.mups = DeepDiver::default().find_mups_with_oracle(&self.oracle, new_tau)?;
-            self.stats.full_recomputes += 1;
+            self.recompute(new_tau)?;
         } else {
-            let outcome = apply_delete_delta(
-                &self.oracle,
-                &mut self.cache,
-                self.tau,
-                &mut self.mups,
-                rows,
-            );
+            let outcome = apply_delete_delta(&self.oracle, self.tau, &mut self.mups, rows);
             self.stats.mups_retired += outcome.retired as u64;
             self.stats.mups_discovered += outcome.discovered as u64;
         }
+        Ok(())
+    }
+
+    /// Re-runs DEEPDIVER over the (incrementally maintained) oracle at `tau`
+    /// — the fallback when a rate threshold steps — and counts it.
+    fn recompute(&mut self, tau: u64) -> Result<()> {
+        self.tau = tau;
+        self.mups = DeepDiver::default().find_mups_with_oracle(&self.oracle, tau)?;
         self.mups.sort();
+        self.stats.full_recomputes += 1;
         Ok(())
     }
 
@@ -322,8 +316,9 @@ impl<B: CoverageBackend> CoverageEngine<B> {
         if self.tau > 0 && self.oracle.covered(&root, self.tau) {
             let mut codes = root;
             codes[attribute] = code;
-            self.mups.push(Pattern::from_codes(codes));
-            self.mups.sort();
+            let mup = Pattern::from_codes(codes);
+            let at = self.mups.partition_point(|m| *m < mup);
+            self.mups.insert(at, mup);
             self.stats.mups_discovered += 1;
         }
         Ok(code)
@@ -335,12 +330,9 @@ impl<B: CoverageBackend> CoverageEngine<B> {
     /// been torn mid-update; counted as a full recompute in [`Self::stats`].
     pub fn rebuild(&mut self) -> Result<()> {
         self.oracle = B::build(&self.dataset, self.shards);
-        self.tau = self.threshold.resolve(self.dataset.len() as u64)?;
-        self.mups = DeepDiver::default().find_mups_with_oracle(&self.oracle, self.tau)?;
-        self.mups.sort();
         self.cache.clear();
-        self.stats.full_recomputes += 1;
-        Ok(())
+        let tau = self.threshold.resolve(self.dataset.len() as u64)?;
+        self.recompute(tau)
     }
 
     /// Re-lays the backend out over `shards` row shards. Coverage answers
@@ -396,7 +388,7 @@ impl<B: CoverageBackend> CoverageEngine<B> {
     }
 
     /// `cov(P)` for a pattern given as raw codes ([`X`] = non-deterministic),
-    /// answered through the memo cache.
+    /// answered through the memo cache — the only path that fills it.
     pub fn coverage(&mut self, codes: &[u8]) -> Result<u64> {
         let schema = self.dataset.schema();
         if codes.len() != schema.arity() {
@@ -414,7 +406,12 @@ impl<B: CoverageBackend> CoverageEngine<B> {
                 )));
             }
         }
-        Ok(coverage_cached(&self.oracle, &mut self.cache, codes))
+        if let Some(count) = self.cache.get(codes) {
+            return Ok(count);
+        }
+        let count = self.oracle.coverage(codes);
+        self.cache.insert(codes, count);
+        Ok(count)
     }
 
     /// Whether `cov(P) ≥ τ` under the current resolved threshold.
@@ -494,9 +491,9 @@ impl<B: CoverageBackend> CoverageEngine<B> {
     }
 
     /// Memo-cache counters: `(len, capacity, hits, misses, invalidated)`.
-    /// `invalidated` counts entries dropped because an inserted or deleted
-    /// tuple changed their coverage — the cache-churn signal operators watch
-    /// under write-heavy load.
+    /// They count client [`Self::coverage`] probes only (delta walks bypass
+    /// the cache). `invalidated` counts entries dropped because an inserted
+    /// or deleted tuple changed their coverage.
     pub fn cache_stats(&self) -> (usize, usize, u64, u64, u64) {
         (
             self.cache.len(),
@@ -788,6 +785,47 @@ mod tests {
             invalidated > invalidated_before,
             "insert matching a cached pattern must invalidate it"
         );
+    }
+
+    #[test]
+    fn writes_without_coverage_requests_leave_the_cache_empty() {
+        // Delta walks probe the oracle directly: a write-only stream must
+        // not put a single entry (or probe) into the memo cache.
+        let mut engine = CoverageEngine::new(example1(), Threshold::Count(2)).unwrap();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        let stream: Vec<Vec<u8>> = (0..40)
+            .map(|_| (0..3).map(|_| rng.random_range(0..2u8)).collect())
+            .collect();
+        for row in &stream {
+            engine.insert(row).unwrap();
+        }
+        for row in stream.iter().rev().take(25) {
+            engine.remove(row).unwrap();
+        }
+        assert!(engine.stats().mups_retired + engine.stats().mups_discovered > 0);
+        let (len, _, hits, misses, _) = engine.cache_stats();
+        assert_eq!((len, hits, misses), (0, 0, 0));
+    }
+
+    #[test]
+    fn cached_coverage_survives_unrelated_writes_and_drops_on_matching_ones() {
+        let mut engine = CoverageEngine::new(example1(), Threshold::Count(1)).unwrap();
+        assert_eq!(engine.coverage(&[0, X, 1]).unwrap(), 3);
+        assert_eq!(engine.cache_stats().0, 1);
+        // (1,1,0) does not match 0X1: the cached count stays and is a hit.
+        engine.insert(&[1, 1, 0]).unwrap();
+        engine.remove(&[1, 1, 0]).unwrap();
+        let (len, _, hits_before, _, invalidated) = engine.cache_stats();
+        assert_eq!((len, invalidated), (1, 0));
+        assert_eq!(engine.coverage(&[0, X, 1]).unwrap(), 3);
+        assert_eq!(engine.cache_stats().2, hits_before + 1);
+        // (0,0,1) matches it: the entry is dropped and the next answer is a
+        // fresh miss with the new count.
+        engine.remove(&[0, 0, 1]).unwrap();
+        let (len, _, _, misses_before, invalidated) = engine.cache_stats();
+        assert_eq!((len, invalidated), (0, 1));
+        assert_eq!(engine.coverage(&[0, X, 1]).unwrap(), 2);
+        assert_eq!(engine.cache_stats().3, misses_before + 1);
     }
 
     #[test]

@@ -193,7 +193,12 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // Only ASCII was consumed, so the slice is on char boundaries; `get`
+        // keeps even a broken invariant an error rather than a panic.
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| format!("invalid number at byte {start}"))?;
         text.parse::<f64>()
             .map(Json::Number)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
@@ -250,10 +255,12 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar. `pos` only ever advances by
-                    // whole scalars, so this O(1) str slice cannot split a
-                    // character (and cannot re-validate the whole suffix,
+                    // whole scalars, so this O(1) str slice does not split a
+                    // character (and does not re-validate the whole suffix,
                     // which would make long strings quadratic to parse).
-                    let ch = self.text[self.pos..].chars().next().expect("non-empty");
+                    let Some(ch) = self.text.get(self.pos..).and_then(|t| t.chars().next()) else {
+                        return Err(format!("invalid UTF-8 in string at byte {}", self.pos));
+                    };
                     if (ch as u32) < 0x20 {
                         return Err("unescaped control character in string".into());
                     }
@@ -1022,6 +1029,39 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    fn truncated_input_is_an_error_not_a_panic() {
+        // Lines cut at every awkward boundary: inside a number, inside an
+        // escape, inside a surrogate pair, and after a multi-byte scalar.
+        // Invalid UTF-8 reaches the parser as U+FFFD (the front ends decode
+        // lossily), so a line cut mid-scalar is covered by the lossy case.
+        let cut_mid_scalar = String::from_utf8_lossy(b"{\"op\":\"coverage\",\"pattern\":\"\xc3");
+        for line in [
+            "-",
+            "1e",
+            "1e+",
+            "-.",
+            "{\"op\":\"mups\",\"limit\":1e",
+            "{\"op\":\"mups\",\"limit\":-",
+            "\"\\",
+            "\"\\u",
+            "\"\\u12",
+            "\"\\ud800\\u",
+            "\"\\ud800\\udc",
+            "{\"op\":\"insert\",\"row\":[\"f\\",
+            "\"é",
+            "{\"op\":\"coverage\",\"pattern\":\"日本",
+            &cut_mid_scalar,
+        ] {
+            assert!(Json::parse(line).is_err(), "accepted `{line}`");
+            let failure = parse_request(line).expect_err(line);
+            assert_eq!(failure.error.code, ErrorCode::Parse, "`{line}`");
+            assert!(failure.id.is_none());
+        }
+        // A scalar right before the closing quote still parses.
+        assert_eq!(Json::parse("\"日本\"").unwrap().as_str(), Some("日本"));
     }
 
     #[test]

@@ -1358,6 +1358,10 @@ mod tests {
                 Some(code),
                 "`{line}` gave {response}"
             );
+            if code == "bad_pattern" {
+                let message = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+                assert!(!message.contains("threshold"), "`{line}` gave {response}");
+            }
         }
     }
 
